@@ -7,7 +7,10 @@
 // afford. Element counts are deterministic properties of the run (edges
 // scanned, relaxations, ...), so elements/sec moves only with host-side
 // cost per access: exactly the executor/footprint hot path this metric
-// exists to track. Output is JSON (schema aam-bench-wallclock-v5) so CI
+// exists to track. Each (algorithm, mechanism) row comes from the
+// algorithm registry and is checked against its sequential reference
+// outside the timed region; a failed check exits 1 with no JSON written.
+// Output is JSON (schema aam-bench-wallclock-v5) so CI
 // can diff runs; tools/bench_record.sh wraps this into BENCH_wallclock.json.
 // --host-threads=N runs the independent (algorithm, mechanism) cells on N
 // host workers via the parallel DES backend; results are identical at any
@@ -35,20 +38,13 @@
 #include <string>
 #include <vector>
 
-#include "algorithms/bfs.hpp"
-#include "algorithms/boruvka.hpp"
-#include "algorithms/coloring.hpp"
-#include "algorithms/pagerank.hpp"
 #include "algorithms/pagerank_dist.hpp"
-#include "algorithms/sssp.hpp"
-#include "algorithms/st_connectivity.hpp"
+#include "algorithms/registry.hpp"
 #include "analysis/conflict.hpp"
 #include "analysis/recommend.hpp"
 #include "bench_common.hpp"
 #include "core/auto_executor.hpp"
 #include "core/executor.hpp"
-#include "graph/generators.hpp"
-#include "graph/gstats.hpp"
 #include "graph/partition.hpp"
 #include "sim/host_pool.hpp"
 
@@ -56,106 +52,6 @@ namespace {
 
 using namespace aam;
 using Clock = std::chrono::steady_clock;
-
-struct RunOutcome {
-  std::uint64_t elements = 0;  ///< deterministic work count for the run
-  double sim_time_ns = 0;
-  htm::HtmStats stats;
-};
-
-struct Algo {
-  std::string name;
-  bool weighted = false;  ///< runs on wg (workload probe must match)
-  RunOutcome (*run)(htm::DesMachine&, const graph::Graph& g,
-                    const graph::Graph& wg, graph::Vertex root,
-                    graph::Vertex st_t, core::Mechanism, int batch,
-                    std::uint64_t seed, const core::AutoPolicy* policy);
-};
-
-graph::Vertex second_endpoint(const graph::Graph& g, graph::Vertex s) {
-  for (graph::Vertex v = g.num_vertices(); v-- > 0;) {
-    if (v != s && !g.neighbors(v).empty()) return v;
-  }
-  return s;
-}
-
-const std::vector<Algo> kAlgos = {
-    {"bfs", false,
-     [](htm::DesMachine& m, const graph::Graph& g, const graph::Graph&,
-        graph::Vertex root, graph::Vertex, core::Mechanism mech, int batch,
-        std::uint64_t, const core::AutoPolicy* policy) {
-       algorithms::BfsOptions o;
-       o.root = root;
-       o.mechanism = mech;
-       o.batch = batch;
-       o.auto_policy = policy;
-       const auto r = algorithms::run_bfs(m, g, o);
-       return RunOutcome{r.edges_scanned, r.total_time_ns, r.stats};
-     }},
-    {"pagerank", false,
-     [](htm::DesMachine& m, const graph::Graph& g, const graph::Graph&,
-        graph::Vertex, graph::Vertex, core::Mechanism mech, int batch,
-        std::uint64_t, const core::AutoPolicy* policy) {
-       algorithms::PageRankOptions o;
-       o.iterations = 3;
-       o.mechanism = mech;
-       o.batch = batch;
-       o.auto_policy = policy;
-       const auto r = algorithms::run_pagerank(m, g, o);
-       const std::uint64_t pushes = static_cast<std::uint64_t>(o.iterations) *
-                                    (g.num_edges() + g.num_vertices());
-       return RunOutcome{pushes, r.total_time_ns, r.stats};
-     }},
-    {"sssp", true,
-     [](htm::DesMachine& m, const graph::Graph&, const graph::Graph& wg,
-        graph::Vertex, graph::Vertex, core::Mechanism mech, int batch,
-        std::uint64_t, const core::AutoPolicy* policy) {
-       algorithms::SsspOptions o;
-       o.source = 0;
-       o.mechanism = mech;
-       o.batch = batch;
-       o.auto_policy = policy;
-       const auto r = algorithms::run_sssp(m, wg, o);
-       return RunOutcome{r.relaxations, r.total_time_ns, r.stats};
-     }},
-    {"coloring", false,
-     [](htm::DesMachine& m, const graph::Graph& g, const graph::Graph&,
-        graph::Vertex, graph::Vertex, core::Mechanism mech, int batch,
-        std::uint64_t seed, const core::AutoPolicy* policy) {
-       algorithms::ColoringOptions o;
-       o.mechanism = mech;
-       o.batch = batch;
-       o.seed = seed;
-       o.auto_policy = policy;
-       const auto r = algorithms::run_boman_coloring(m, g, o);
-       return RunOutcome{g.num_vertices() + r.recolor_requests,
-                         r.total_time_ns, r.stats};
-     }},
-    {"st-conn", false,
-     [](htm::DesMachine& m, const graph::Graph& g, const graph::Graph&,
-        graph::Vertex root, graph::Vertex st_t, core::Mechanism mech,
-        int batch, std::uint64_t, const core::AutoPolicy* policy) {
-       algorithms::StConnOptions o;
-       o.s = root;
-       o.t = st_t;
-       o.mechanism = mech;
-       o.batch = batch;
-       o.auto_policy = policy;
-       const auto r = algorithms::run_st_connectivity(m, g, o);
-       return RunOutcome{r.vertices_colored, r.total_time_ns, r.stats};
-     }},
-    {"boruvka", true,
-     [](htm::DesMachine& m, const graph::Graph&, const graph::Graph& wg,
-        graph::Vertex, graph::Vertex, core::Mechanism mech, int batch,
-        std::uint64_t, const core::AutoPolicy* policy) {
-       algorithms::BoruvkaOptions o;
-       o.mechanism = mech;
-       o.batch = batch;
-       o.auto_policy = policy;
-       const auto r = algorithms::run_boruvka(m, wg, o);
-       return RunOutcome{r.edges_in_forest, r.total_time_ns, r.stats};
-     }},
-};
 
 std::string json_escape_double(double v) {
   char buf[64];
@@ -196,20 +92,9 @@ int main(int argc, char** argv) {
 
   // Shared inputs: a Kronecker graph for the traversal algorithms and a
   // smaller weighted graph for SSSP/Boruvka (matching the ablation bench).
-  util::Rng rng(seed);
-  graph::KroneckerParams params;
-  params.scale = scale;
-  params.edge_factor = edge_factor;
-  const graph::Graph g = graph::kronecker(params, rng);
-  const graph::Vertex root = graph::pick_nonisolated_vertex(g);
-  const graph::Vertex st_t = second_endpoint(g, root);
-
-  util::Rng wrng(seed + 1);
-  auto wedges = graph::erdos_renyi_edges(1500, 0.01, wrng);
-  const auto weights =
-      graph::random_weights(wedges.size(), 1.0f, 100.0f, wrng);
-  const graph::Graph wg =
-      graph::Graph::from_weighted_edges(1500, wedges, weights, true);
+  const algorithms::Inputs in =
+      algorithms::make_inputs(scale, edge_factor, seed, 1500, 0.01);
+  const graph::Graph& g = in.g;
 
   // Heap sized for the Kronecker graph state at this scale.
   const std::size_t heap_bytes =
@@ -221,7 +106,7 @@ int main(int argc, char** argv) {
   const core::AutoPolicy policy_g = analysis::make_auto_policy(
       config, kind, analysis::workload_from_graph(g, threads, batch));
   const core::AutoPolicy policy_wg = analysis::make_auto_policy(
-      config, kind, analysis::workload_from_graph(wg, threads, batch));
+      config, kind, analysis::workload_from_graph(in.wg, threads, batch));
 
   std::string json = "{\n";
   json += "  \"schema\": \"aam-bench-wallclock-v5\",\n";
@@ -258,7 +143,8 @@ int main(int argc, char** argv) {
   // assembled in cell order — identical for every --host-threads value
   // while wall-clock drops with parallelism.
   struct Cell {
-    const Algo* algo = nullptr;  ///< nullptr = distributed-PageRank cell
+    /// nullptr = distributed-PageRank cell
+    const algorithms::Algorithm* algo = nullptr;
     Selection sel;
   };
   struct CellResult {
@@ -270,9 +156,10 @@ int main(int argc, char** argv) {
     htm::HtmStats stats;
     core::AutoTelemetry tele;
     recovery::RecoveryStats rec;  ///< zeroes unless the plan crashes
+    std::string check_error;      ///< "" when the answer checked out
   };
   std::vector<Cell> cells;
-  for (const Algo& algo : kAlgos) {
+  for (const algorithms::Algorithm& algo : algorithms::registry()) {
     if (algo_filter != "all" && algo_filter != algo.name) continue;
     for (const Selection& sel : selections) cells.push_back({&algo, sel});
   }
@@ -287,13 +174,18 @@ int main(int argc, char** argv) {
     const Cell& cell = cells[cell_id];
     CellResult& res = slots[cell_id];
     if (cell.algo != nullptr) {
-      const Algo& algo = *cell.algo;
+      const algorithms::Algorithm& algo = *cell.algo;
       const Selection& sel = cell.sel;
       // Private policy copy: AutoTelemetry is mutable inside the shared
       // per-graph policy, so parallel auto cells each route via their own.
       core::AutoPolicy policy = algo.weighted ? policy_wg : policy_g;
+      algorithms::RunOptions options;
+      options.mechanism = sel.mech;
+      options.batch = batch;
+      options.auto_policy = sel.is_auto ? &policy : nullptr;
+      options.seed = seed;
       double best_seconds = 0;
-      RunOutcome out;
+      algorithms::Run out;
       for (int rep = 0; rep < repeats; ++rep) {
         policy.telemetry = {};
         mem::SimHeap heap(heap_bytes);
@@ -301,18 +193,19 @@ int main(int argc, char** argv) {
         machine.bind_shard(cell_id);
         bench::ScopedFault fault(machine, fault_spec, seed);
         const auto t0 = Clock::now();
-        out = algo.run(machine, g, wg, root, st_t, sel.mech, batch, seed,
-                       sel.is_auto ? &policy : nullptr);
+        out = algo.run(machine, in, options);
         const double seconds =
             std::chrono::duration<double>(Clock::now() - t0).count();
         if (rep == 0 || seconds < best_seconds) best_seconds = seconds;
         if (fault.recovery() != nullptr) res.rec = fault.recovery()->stats();
       }
+      // Outside the timed region: the published row must be a correct one.
+      res.check_error = algo.check(in, options, out);
       res.algorithm = algo.name;
       res.mechanism = sel.label;
-      res.elements = out.elements;
+      res.elements = out.work;
       res.best_seconds = best_seconds;
-      res.sim_time_ns = out.sim_time_ns;
+      res.sim_time_ns = out.time_ns;
       res.stats = out.stats;
       if (sel.is_auto) res.tele = policy.telemetry;
       return;
@@ -351,6 +244,14 @@ int main(int argc, char** argv) {
   });
   const double sweep_wall_ms =
       std::chrono::duration<double>(Clock::now() - sweep_t0).count() * 1e3;
+  bool all_checked = true;
+  for (const CellResult& res : slots) {
+    if (res.check_error.empty()) continue;
+    std::fprintf(stderr, "check failed: %s/%s: %s\n", res.algorithm.c_str(),
+                 res.mechanism.c_str(), res.check_error.c_str());
+    all_checked = false;
+  }
+  if (!all_checked) return 1;
 
   json += "  \"wall_ms\": " + json_escape_double(sweep_wall_ms) + ",\n";
   json += "  \"results\": [\n";

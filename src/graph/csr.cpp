@@ -18,9 +18,13 @@ struct Arc {
 Graph build(Vertex n, std::vector<Arc>& arcs, bool dedupe, bool weighted,
             std::vector<std::uint64_t>& offsets, std::vector<Vertex>& adj,
             std::vector<float>& weights) {
+  // Weight is the last key so that dedupe keeps the lightest copy of a
+  // repeated arc: both directions of a repeated undirected edge then carry
+  // the same (minimum) weight.
   std::sort(arcs.begin(), arcs.end(), [](const Arc& a, const Arc& b) {
     if (a.src != b.src) return a.src < b.src;
-    return a.dst < b.dst;
+    if (a.dst != b.dst) return a.dst < b.dst;
+    return a.weight < b.weight;
   });
   if (dedupe) {
     arcs.erase(std::unique(arcs.begin(), arcs.end(),

@@ -31,7 +31,8 @@ class Graph {
                           bool dedupe = true);
 
   /// Same, attaching a weight per input edge (mirrored for undirected
-  /// graphs). `weights.size()` must equal `edges.size()`.
+  /// graphs). `weights.size()` must equal `edges.size()`. A repeated edge
+  /// keeps its minimum weight, in both directions when undirected.
   static Graph from_weighted_edges(Vertex n, const EdgeList& edges,
                                    const std::vector<float>& weights,
                                    bool undirected);

@@ -226,29 +226,21 @@ class DesMachine {
   /// Drive the simulation until global quiescence.
   void run();
 
-  // --- horizon-bounded stepping (parallel DES backend) ---------------------
+  // --- horizon-bounded stepping --------------------------------------------
   //
-  // An external driver (sim::WindowedCoSim) can run the machine as one
-  // shard of a conservative co-simulation: begin_external_run() performs
-  // run()'s entry work (observer notification, progress stamp, waking all
-  // workers), then repeated step(h) calls drain events up to each safe
-  // horizon h. run() itself is implemented on top of the same primitives,
-  // so the sequential and windowed paths dispatch identical event
-  // sequences.
+  // begin_external_run() performs run()'s entry work (observer
+  // notification, progress stamp, waking all workers), then repeated
+  // step(h) calls drain events up to each horizon h. run() is implemented
+  // on top of these primitives; run_controlled() shares the entry protocol.
 
   /// run()'s entry protocol without the drain loop.
   void begin_external_run();
 
   /// Dispatch every pending event with time <= `horizon` (in the usual
   /// deterministic order). Returns true if events remain beyond the
-  /// horizon. Does NOT invoke the quiescence hook — the external driver
-  /// owns the decision to inject more work.
+  /// horizon. Does NOT invoke the quiescence hook — the caller owns the
+  /// decision to inject more work.
   bool step(double horizon);
-
-  /// True when the event queue is non-empty.
-  bool has_pending_events() const { return !queue_.empty(); }
-  /// Earliest pending event time; only valid when has_pending_events().
-  double next_event_time() const { return queue_.peek_time(); }
 
   /// Binds the machine's event queue to the shard that owns it (see
   /// sim::EventQueue::bind_shard): every subsequent schedule/dispatch must

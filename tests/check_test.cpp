@@ -9,12 +9,7 @@
 #include <sstream>
 #include <string>
 
-#include "algorithms/bfs.hpp"
-#include "algorithms/boruvka.hpp"
-#include "algorithms/coloring.hpp"
-#include "algorithms/pagerank.hpp"
-#include "algorithms/sssp.hpp"
-#include "algorithms/st_connectivity.hpp"
+#include "algorithms/registry.hpp"
 #include "check/check.hpp"
 #include "core/runtime.hpp"
 #include "graph/generators.hpp"
@@ -33,6 +28,20 @@ std::string report_of(const check::Checker& checker) {
   std::ostringstream out;
   checker.report(out);
   return out.str();
+}
+
+/// A Kronecker 2^9 graph (edge factor 4) from Rng(seed), rooted at its
+/// first non-isolated vertex: the BFS-only inputs of the digest and
+/// perturbation tests.
+algorithms::Inputs bfs_inputs(std::uint64_t seed) {
+  util::Rng rng(seed);
+  graph::KroneckerParams params;
+  params.scale = 9;
+  params.edge_factor = 4;
+  algorithms::Inputs in;
+  in.g = graph::kronecker(params, rng);
+  in.root = graph::pick_nonisolated_vertex(in.g);
+  return in;
 }
 
 // ---------------------------------------------------------- config parsing
@@ -80,22 +89,17 @@ TEST(Checker, CleanRunPassesAndSeesBatches) {
 
 TEST(Checker, DoesNotPerturbSimulatedTime) {
   auto bfs_time = [](bool with_checks) {
-    util::Rng rng(7);
-    graph::KroneckerParams params;
-    params.scale = 9;
-    params.edge_factor = 4;
-    const graph::Graph g = graph::kronecker(params, rng);
+    const algorithms::Inputs in = bfs_inputs(7);
     mem::SimHeap heap(1 << 22);
     htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 8, heap);
     check::Checker checker(machine,
                            with_checks ? all_checks() : check::CheckConfig{});
-    algorithms::BfsOptions options;
-    options.root = graph::pick_nonisolated_vertex(g);
+    algorithms::RunOptions options;
     options.batch = 8;
     if (with_checks) options.decorator = &checker;
-    const auto r = algorithms::run_bfs(machine, g, options);
+    const auto r = algorithms::find_algorithm("bfs").run(machine, in, options);
     EXPECT_TRUE(checker.passed()) << report_of(checker);
-    return r.total_time_ns;
+    return r.time_ns;
   };
   EXPECT_EQ(bfs_time(false), bfs_time(true));
 }
@@ -189,19 +193,14 @@ TEST(Checker, StaticSignatureAuditSkipsUntaggedBatches) {
 
 TEST(Checker, CommitDigestIsDeterministicAcrossRuns) {
   auto digest_of = [](std::uint64_t seed) {
-    util::Rng rng(seed);
-    graph::KroneckerParams params;
-    params.scale = 9;
-    params.edge_factor = 4;
-    const graph::Graph g = graph::kronecker(params, rng);
+    const algorithms::Inputs in = bfs_inputs(seed);
     mem::SimHeap heap(1 << 22);
     htm::DesMachine machine(model::bgq(), HtmKind::kBgqShort, 16, heap, seed);
     check::Checker checker(machine, {.footprint = true});
-    algorithms::BfsOptions options;
-    options.root = graph::pick_nonisolated_vertex(g);
+    algorithms::RunOptions options;
     options.batch = 16;
     options.decorator = &checker;
-    algorithms::run_bfs(machine, g, options);
+    algorithms::find_algorithm("bfs").run(machine, in, options);
     EXPECT_TRUE(checker.passed()) << report_of(checker);
     EXPECT_GT(checker.batches_checked(), 0u);
     return checker.digest();
@@ -213,33 +212,14 @@ TEST(Checker, CommitDigestIsDeterministicAcrossRuns) {
 
 // ------------------------------------- acceptance sweep: everything clean
 
-graph::Vertex second_endpoint(const graph::Graph& g, graph::Vertex s) {
-  for (graph::Vertex v = g.num_vertices(); v-- > 0;) {
-    if (v != s && !g.neighbors(v).empty()) return v;
-  }
-  return s;
-}
-
 // Every §3.3 algorithm under every executor mechanism on both machine
-// models, all three checkers on. Any races/serializability/footprint bug
-// in an executor or operator formulation fails here with a full report.
+// models, all three checkers on, each answer checked against its
+// sequential reference. Any races/serializability/footprint bug in an
+// executor or operator formulation fails here with a full report.
 TEST(Checker, AllAlgorithmsAllMechanismsBothMachinesPassAllChecks) {
-  constexpr std::uint64_t kSeed = 1;
-  util::Rng rng(kSeed);
-  graph::KroneckerParams params;
-  params.scale = 10;
-  params.edge_factor = 4;
-  const graph::Graph g = graph::kronecker(params, rng);
-  const graph::Vertex root = graph::pick_nonisolated_vertex(g);
-  const graph::Vertex st_t = second_endpoint(g, root);
-
-  util::Rng wrng(kSeed + 1);
-  auto wedges = graph::erdos_renyi_edges(600, 0.02, wrng);
-  const auto weights =
-      graph::random_weights(wedges.size(), 1.0f, 100.0f, wrng);
-  const graph::Graph wg =
-      graph::Graph::from_weighted_edges(600, wedges, weights, true);
-
+  const algorithms::Inputs in =
+      algorithms::make_inputs(/*scale=*/10, /*edge_factor=*/4, /*seed=*/1,
+                              /*weighted_n=*/600, /*weighted_p=*/0.02);
   struct Setup {
     const model::MachineConfig* config;
     HtmKind kind;
@@ -252,63 +232,21 @@ TEST(Checker, AllAlgorithmsAllMechanismsBothMachinesPassAllChecks) {
 
   for (const Setup& setup : setups) {
     for (const core::Mechanism mech : core::all_mechanisms()) {
-      auto run_all = [&](htm::DesMachine& m, check::Checker& checker) {
-        {
-          algorithms::BfsOptions o;
-          o.root = root;
-          o.mechanism = mech;
-          o.batch = 8;
-          o.decorator = &checker;
-          const auto r = algorithms::run_bfs(m, g, o);
-          ASSERT_TRUE(algorithms::validate_bfs_tree(g, root, r.parent));
-        }
-        {
-          algorithms::PageRankOptions o;
-          o.iterations = 2;
-          o.mechanism = mech;
-          o.batch = 8;
-          o.decorator = &checker;
-          algorithms::run_pagerank(m, g, o);
-        }
-        {
-          algorithms::ColoringOptions o;
-          o.mechanism = mech;
-          o.batch = 8;
-          o.seed = kSeed;
-          o.decorator = &checker;
-          const auto r = algorithms::run_boman_coloring(m, g, o);
-          ASSERT_TRUE(algorithms::validate_coloring(g, r.color));
-        }
-        {
-          algorithms::StConnOptions o;
-          o.s = root;
-          o.t = st_t;
-          o.mechanism = mech;
-          o.batch = 8;
-          o.decorator = &checker;
-          algorithms::run_st_connectivity(m, g, o);
-        }
-        {
-          algorithms::SsspOptions o;
-          o.source = 0;
-          o.mechanism = mech;
-          o.batch = 8;
-          o.decorator = &checker;
-          algorithms::run_sssp(m, wg, o);
-        }
-        {
-          algorithms::BoruvkaOptions o;
-          o.mechanism = mech;
-          o.batch = 8;
-          o.decorator = &checker;
-          algorithms::run_boruvka(m, wg, o);
-        }
-      };
       mem::SimHeap heap(std::size_t{1} << 24);
       htm::DesMachine machine(*setup.config, setup.kind, setup.threads, heap,
-                              kSeed);
+                              /*seed=*/1);
       check::Checker checker(machine, all_checks());
-      run_all(machine, checker);
+      algorithms::RunOptions options;
+      options.mechanism = mech;
+      options.batch = 8;
+      options.decorator = &checker;
+      options.pr_iterations = 2;
+      for (const algorithms::Algorithm& algo : algorithms::registry()) {
+        const algorithms::Run run = algo.run(machine, in, options);
+        EXPECT_EQ(algo.check(in, options, run), "")
+            << setup.config->name << "/" << core::to_string(mech) << "/"
+            << algo.name;
+      }
       EXPECT_TRUE(checker.passed())
           << setup.config->name << "/" << core::to_string(mech) << "\n"
           << report_of(checker);

@@ -4,12 +4,15 @@
 #include <filesystem>
 #include <set>
 
+#include "algorithms/boruvka.hpp"
 #include "graph/analogs.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "graph/gstats.hpp"
 #include "graph/io.hpp"
 #include "graph/partition.hpp"
+#include "htm/des_engine.hpp"
+#include "mem/sim_heap.hpp"
 
 namespace aam::graph {
 namespace {
@@ -54,6 +57,53 @@ TEST(Csr, WeightedEdges) {
   for (std::size_t i = 0; i < n1.size(); ++i) {
     if (n1[i] == 0) EXPECT_FLOAT_EQ(w1[i], 2.5f);
     if (n1[i] == 2) EXPECT_FLOAT_EQ(w1[i], 7.0f);
+  }
+}
+
+TEST(Csr, RepeatedWeightedEdgeKeepsMinimumInBothDirections) {
+  // Edge {1,2} arrives three times, once reversed, with three weights.
+  const Graph g = Graph::from_weighted_edges(
+      4, {{1, 2}, {0, 1}, {2, 1}, {1, 2}, {2, 3}},
+      {9.0f, 4.0f, 2.5f, 6.0f, 1.0f}, /*undirected=*/true);
+  auto weight = [&](Vertex u, Vertex v) {
+    const auto nbrs = g.neighbors(u);
+    const auto ws = g.weights(u);
+    float w = -1.0f;
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      if (nbrs[i] == v) {
+        EXPECT_EQ(w, -1.0f) << u << "->" << v << " kept twice";
+        w = ws[i];
+      }
+    }
+    return w;
+  };
+  EXPECT_EQ(g.num_edges(), 6u);
+  EXPECT_FLOAT_EQ(weight(1, 2), 2.5f);
+  EXPECT_FLOAT_EQ(weight(2, 1), 2.5f);
+  EXPECT_FLOAT_EQ(weight(0, 1), weight(1, 0));
+}
+
+// A Kronecker edge list repeats edges with different weights. Borůvka
+// reads both directions of an edge and Kruskal only the u < v arc, so
+// they agree only when both directions keep the same weight.
+TEST(Csr, BoruvkaMatchesKruskalOnWeightedMultigraph) {
+  KroneckerParams p;
+  p.scale = 10;
+  p.edge_factor = 8;
+  util::Rng rng(1);
+  const EdgeList edges = kronecker_edges(p, rng);
+  const auto weights = random_weights(edges.size(), 1.0f, 100.0f, rng);
+  const Graph g = Graph::from_weighted_edges(Vertex{1} << p.scale, edges,
+                                             weights, /*undirected=*/true);
+  const double kruskal = algorithms::mst_reference_weight(g);
+  for (const core::Mechanism mech : core::all_mechanisms()) {
+    mem::SimHeap heap(std::size_t{1} << 24);
+    htm::DesMachine machine(model::has_c(), model::HtmKind::kRtm, 8, heap);
+    algorithms::BoruvkaOptions o;
+    o.mechanism = mech;
+    const auto r = algorithms::run_boruvka(machine, g, o);
+    EXPECT_NEAR(r.total_weight, kruskal, 1e-6 * kruskal)
+        << core::to_string(mech);
   }
 }
 

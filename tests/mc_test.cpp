@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
+#include <ostream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -234,6 +236,12 @@ struct MutationCase {
   const char* minimized;  ///< exact canonical witness trace
 };
 
+// Prints the case by name; gtest's default dumps the raw bytes, whose
+// pointers change from build to build.
+void PrintTo(const MutationCase& c, std::ostream* os) {
+  *os << c.workload << "/" << c.mechanism << "/" << to_string(c.mutation);
+}
+
 class McMutation : public ::testing::TestWithParam<MutationCase> {};
 
 TEST_P(McMutation, CaughtMinimizedAndReplayable) {
@@ -285,7 +293,13 @@ INSTANTIATE_TEST_SUITE_P(
         // Delivery dedup keyed on the ack the retransmit clears: the
         // payload is applied twice.
         MutationCase{"ack-protocol", "atomics", Mutation::kDroppedAck,
-                     ViolationInfo::Kind::kInvariant, "0n.1n.0n.1n"}));
+                     ViolationInfo::Kind::kInvariant, "0n.1n.0n.1n"}),
+    // Name each case after its mutation, for the same reason as PrintTo.
+    [](const auto& info) {
+      std::string name = to_string(info.param.mutation);
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 // --- harness ---------------------------------------------------------------
 

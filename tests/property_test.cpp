@@ -9,12 +9,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "algorithms/bfs.hpp"
-#include "algorithms/boruvka.hpp"
-#include "algorithms/coloring.hpp"
-#include "algorithms/pagerank.hpp"
-#include "algorithms/sssp.hpp"
-#include "algorithms/st_connectivity.hpp"
+#include "algorithms/registry.hpp"
 #include "analysis/signature.hpp"
 #include "check/check.hpp"
 #include "core/runtime.hpp"
@@ -321,35 +316,48 @@ class StaticContainmentTest
 
 TEST_P(StaticContainmentTest, DynamicFootprintWithinStaticSignature) {
   const auto& param = GetParam();
+  algorithms::Inputs in;
   util::Rng rng(11);
   graph::KroneckerParams gp;
   gp.scale = 10;
   gp.edge_factor = 4;
-  const graph::Graph g = graph::kronecker(gp, rng);
+  in.g = graph::kronecker(gp, rng);
   util::Rng wrng(12);
   const auto wedges = graph::kronecker_edges(gp, wrng);
   const auto weights = graph::random_weights(wedges.size(), 1.0f, 100.0f, wrng);
-  const graph::Graph wg = graph::Graph::from_weighted_edges(
-      g.num_vertices(), wedges, weights, /*undirected=*/true);
+  in.wg = graph::Graph::from_weighted_edges(
+      in.g.num_vertices(), wedges, weights, /*undirected=*/true);
+  in.root = graph::pick_nonisolated_vertex(in.g);
+  in.st_t = graph::pick_nonisolated_vertex(in.g, /*salt=*/1);
+  if (in.st_t == in.root) in.st_t = in.root == 0 ? 1 : 0;
+  in.source = graph::pick_nonisolated_vertex(in.wg);
   const auto dmax =
-      static_cast<int>(std::max(graph::degree_stats(g).max,
-                                graph::degree_stats(wg).max));
-  const auto n = static_cast<int>(g.num_vertices());
+      static_cast<int>(std::max(graph::degree_stats(in.g).max,
+                                graph::degree_stats(in.wg).max));
+  const auto n = static_cast<int>(in.g.num_vertices());
 
   const auto signatures = analysis::analyze_all();
   auto signature_of = [&](core::OperatorId op) -> const auto& {
     return signatures[static_cast<std::size_t>(op) - 1];  // no kUnknown slot
   };
 
-  // Runs one algorithm under full checking on a fresh machine and verifies
-  // both containment properties.
-  auto audit = [&](const char* what, auto&& run) {
+  // Runs every algorithm under full checking on a fresh machine and
+  // verifies its answer and both containment properties.
+  for (const algorithms::Algorithm& algo : algorithms::registry()) {
+    const char* what = algo.name;
     mem::SimHeap heap(1 << 24);
     htm::DesMachine machine(*param.config, param.kind, param.threads, heap,
                             /*seed=*/3);
     check::Checker checker(machine,
                            {.races = true, .serial = true, .footprint = true});
-    run(machine, checker);
+    algorithms::RunOptions options;
+    options.mechanism = param.mechanism;
+    // Borůvka runs at its default M of 4, everything else at M = 8.
+    options.batch = algo.op == core::OperatorId::kUfUnion ? 0 : 8;
+    options.decorator = &checker;
+    options.pr_iterations = 2;
+    const algorithms::Run run = algo.run(machine, in, options);
+    EXPECT_EQ(algo.check(in, options, run), "") << what;
     std::ostringstream report;
     checker.report(report);
     EXPECT_TRUE(checker.passed()) << what << ": " << report.str();
@@ -367,56 +375,7 @@ TEST_P(StaticContainmentTest, DynamicFootprintWithinStaticSignature) {
                 stats.items_at_max_write * sig.write_elems(dmax, n))
           << what << " writes of " << core::to_string(op);
     }
-  };
-
-  audit("bfs", [&](htm::DesMachine& machine, check::Checker& checker) {
-    algorithms::BfsOptions options;
-    options.root = graph::pick_nonisolated_vertex(g);
-    options.mechanism = param.mechanism;
-    options.batch = 8;
-    options.decorator = &checker;
-    algorithms::run_bfs(machine, g, options);
-  });
-  audit("pagerank", [&](htm::DesMachine& machine, check::Checker& checker) {
-    algorithms::PageRankOptions options;
-    options.iterations = 2;
-    options.mechanism = param.mechanism;
-    options.batch = 8;
-    options.decorator = &checker;
-    algorithms::run_pagerank(machine, g, options);
-  });
-  audit("sssp", [&](htm::DesMachine& machine, check::Checker& checker) {
-    algorithms::SsspOptions options;
-    options.source = graph::pick_nonisolated_vertex(wg);
-    options.mechanism = param.mechanism;
-    options.batch = 8;
-    options.decorator = &checker;
-    algorithms::run_sssp(machine, wg, options);
-  });
-  audit("boruvka", [&](htm::DesMachine& machine, check::Checker& checker) {
-    algorithms::BoruvkaOptions options;
-    options.mechanism = param.mechanism;
-    options.batch = 4;
-    options.decorator = &checker;
-    algorithms::run_boruvka(machine, wg, options);
-  });
-  audit("coloring", [&](htm::DesMachine& machine, check::Checker& checker) {
-    algorithms::ColoringOptions options;
-    options.mechanism = param.mechanism;
-    options.batch = 8;
-    options.decorator = &checker;
-    algorithms::run_boman_coloring(machine, g, options);
-  });
-  audit("st-conn", [&](htm::DesMachine& machine, check::Checker& checker) {
-    algorithms::StConnOptions options;
-    options.s = graph::pick_nonisolated_vertex(g);
-    options.t = graph::pick_nonisolated_vertex(g, /*salt=*/1);
-    if (options.s == options.t) options.t = options.s == 0 ? 1 : 0;
-    options.mechanism = param.mechanism;
-    options.batch = 8;
-    options.decorator = &checker;
-    algorithms::run_st_connectivity(machine, g, options);
-  });
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

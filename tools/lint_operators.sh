@@ -50,10 +50,19 @@
 # iteration (e.g. draining into a sorted vector before use) is annotated
 # with a `lint:allow-unordered-iter` comment marker.
 #
+# Pass 6 — direct algorithm dispatch in sweeps. The algorithm x mechanism
+# sweeps (bench_throughput, bench_ablation_mechanisms, bench_fault_matrix
+# and the golden, conflict, property and checker tests) run the six §3.3
+# kernels through the algorithm registry (src/algorithms/registry.hpp),
+# which owns each kernel's options, result projection and reference
+# check. After stripping comments, flags any direct
+# run_(bfs|pagerank|sssp|boman_coloring|st_connectivity|boruvka)( call in
+# those files, so a hand-written copy of the matrix cannot creep back.
+#
 # Usage: lint_operators.sh [file...]
 #   With no arguments, passes 1-2 lint src/algorithms/*.cpp and *.hpp,
-#   pass 3 lints every src/**/*.cpp|hpp outside src/sim/, and pass 5
-#   lints every src/**/*.cpp|hpp.
+#   pass 3 lints every src/**/*.cpp|hpp outside src/sim/, pass 5
+#   lints every src/**/*.cpp|hpp, and pass 6 lints the seven sweep files.
 #   With arguments, all passes lint exactly those files (used by the
 #   self-test: tools/lint_operators_selftest.sh runs this against
 #   known-good and known-bad fixtures in tools/lint_fixtures/).
@@ -268,6 +277,39 @@ for f in "$@"; do
   ' "$f" "$f" || status=1
 done
 
+# Pass 6 file set: the explicit arguments, or the algorithm x mechanism
+# sweeps that must dispatch through the registry.
+if [ "$explicit_files" -eq 0 ]; then
+  set -- bench/bench_throughput.cpp bench/bench_ablation_mechanisms.cpp \
+    bench/bench_fault_matrix.cpp tests/golden_test.cpp \
+    tests/conflict_test.cpp tests/property_test.cpp tests/check_test.cpp
+fi
+
+for f in "$@"; do
+  awk '
+    {
+      line = $0
+      if (inblock) {
+        i = index(line, "*/")
+        if (i == 0) next
+        line = substr(line, i + 2)
+        inblock = 0
+      }
+      while ((s = index(line, "/*")) > 0) {
+        e = index(substr(line, s + 2), "*/")
+        if (e == 0) { line = substr(line, 1, s - 1); inblock = 1; break }
+        line = substr(line, 1, s - 1) substr(line, s + e + 3)
+      }
+      sub(/\/\/.*/, "", line)
+      if (line ~ /(^|[^A-Za-z0-9_])run_(bfs|pagerank|sssp|boman_coloring|st_connectivity|boruvka)[ \t]*\(/) {
+        printf "%s:%d: %s\n", FILENAME, FNR, $0
+        bad = 1
+      }
+    }
+    END { exit bad ? 1 : 0 }
+  ' "$f" || status=1
+done
+
 if [ "$status" -ne 0 ]; then
   echo "lint_operators: operator bodies must route mutations through the" >&2
   echo "access surface (access.store/cas/fetch_add), take it as a templated" >&2
@@ -275,6 +317,8 @@ if [ "$status" -ne 0 ]; then
   echo "draw time/randomness from the DES clock and util::Rng, not the host" >&2
   echo "(mark intentional host-time reads with lint:allow-wallclock), and" >&2
   echo "src/ must never iterate an unordered container (hash order is not" >&2
-  echo "deterministic; mark exceptions with lint:allow-unordered-iter)" >&2
+  echo "deterministic; mark exceptions with lint:allow-unordered-iter), and" >&2
+  echo "the algorithm x mechanism sweeps must dispatch through the algorithm" >&2
+  echo "registry, never a direct run_<algorithm>( call" >&2
 fi
 exit "$status"

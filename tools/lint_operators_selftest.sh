@@ -47,9 +47,17 @@ if ! "$lint" "$fixtures/good_unordered_marker.hpp"; then
   echo "FAIL: good_unordered_marker.hpp rejected (lookup or marker broken)" >&2
   fail=1
 fi
-# The real tree must still be clean under both passes.
+if "$lint" "$fixtures/bad_direct_dispatch.cpp" >/dev/null 2>&1; then
+  echo "FAIL: bad_direct_dispatch.cpp accepted (registry-dispatch pass broken)" >&2
+  fail=1
+fi
+if ! "$lint" "$fixtures/good_registry_dispatch.cpp"; then
+  echo "FAIL: good_registry_dispatch.cpp rejected (comment or run_distributed_pagerank false positive)" >&2
+  fail=1
+fi
+# The real tree must still be clean under every pass.
 if ! "$lint"; then
-  echo "FAIL: src/algorithms/ no longer passes the lint" >&2
+  echo "FAIL: the tree no longer passes the lint" >&2
   fail=1
 fi
 
