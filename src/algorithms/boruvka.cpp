@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
+#include <unordered_map>
 
 #include "algorithms/operators.hpp"
 #include "core/executor_impl.hpp"
@@ -29,6 +30,36 @@ bool lighter(const MergeEdge& a, const MergeEdge& b) {
   return a.id < b.id;
 }
 
+/// Minimum outgoing edge per component root, in first-seen order. The hash
+/// index serves lookups only and is never iterated, so the order of
+/// entries() (and with it the merge order and checkpoints) depends on
+/// insertion order alone.
+class MinEdges {
+ public:
+  using Entry = std::pair<Vertex, MergeEdge>;
+
+  void upsert(Vertex root, const MergeEdge& cand) {
+    const auto [slot, fresh] = slot_.try_emplace(root, entries_.size());
+    if (fresh) {
+      entries_.emplace_back(root, cand);
+    } else if (MergeEdge& edge = entries_[slot->second].second;
+               lighter(cand, edge)) {
+      edge = cand;
+    }
+  }
+
+  const std::vector<Entry>& entries() const { return entries_; }
+
+  void clear() {
+    entries_.clear();
+    slot_.clear();
+  }
+
+ private:
+  std::vector<Entry> entries_;
+  std::unordered_map<Vertex, std::size_t> slot_;
+};
+
 struct BoruvkaState {
   const graph::Graph* graph = nullptr;
   BoruvkaOptions options;
@@ -47,7 +78,7 @@ class BoruvkaWorker : public htm::Worker {
  public:
   explicit BoruvkaWorker(BoruvkaState& state) : state_(state) {}
 
-  std::vector<std::pair<Vertex, MergeEdge>>& min_edges() { return min_edges_; }
+  MinEdges& min_edges() { return min_edges_; }
 
   bool next(htm::ThreadCtx& ctx) override {
     return state_.scanning_phase ? scan_step(ctx) : merge_step(ctx);
@@ -56,8 +87,8 @@ class BoruvkaWorker : public htm::Worker {
   // Checkpoint support; batch_ is never live at a safe instant.
   // (std::pair is not trivially copyable, so the entries go field-wise.)
   void save(util::BlobWriter& w) const {
-    w.put<std::uint64_t>(min_edges_.size());
-    for (const auto& [root, edge] : min_edges_) {
+    w.put<std::uint64_t>(min_edges_.entries().size());
+    for (const auto& [root, edge] : min_edges_.entries()) {
       w.put<Vertex>(root);
       w.put<MergeEdge>(edge);
     }
@@ -68,7 +99,7 @@ class BoruvkaWorker : public htm::Worker {
     for (std::uint64_t i = 0; i < count; ++i) {
       const auto root = r.get<Vertex>();
       const auto edge = r.get<MergeEdge>();
-      min_edges_.emplace_back(root, edge);
+      min_edges_.upsert(root, edge);  // roots are unique: appends in order
     }
     batch_.clear();
   }
@@ -94,20 +125,10 @@ class BoruvkaWorker : public htm::Worker {
         const MergeEdge cand{v, w, ws[e],
                              static_cast<std::uint64_t>(
                                  std::min(v, w)) << 32 | std::max(v, w)};
-        upsert_min(rv, cand);
+        min_edges_.upsert(rv, cand);
       }
     }
     return true;
-  }
-
-  void upsert_min(Vertex root, const MergeEdge& cand) {
-    for (auto& [r, edge] : min_edges_) {
-      if (r == root) {
-        if (lighter(cand, edge)) edge = cand;
-        return;
-      }
-    }
-    min_edges_.emplace_back(root, cand);
   }
 
   // Root lookup with modelled per-hop loads (no path compression: keeps
@@ -156,7 +177,7 @@ class BoruvkaWorker : public htm::Worker {
   }
 
   BoruvkaState& state_;
-  std::vector<std::pair<Vertex, MergeEdge>> min_edges_;
+  MinEdges min_edges_;
   std::vector<MergeEdge> batch_;
 };
 
@@ -195,24 +216,18 @@ BoruvkaResult run_boruvka(htm::DesMachine& machine, const graph::Graph& graph,
   machine.set_quiescence_hook([&](htm::DesMachine& m) {
     if (state.scanning_phase) {
       // Reduce the per-thread minima into one candidate edge per component.
-      std::vector<std::pair<Vertex, MergeEdge>> best;
+      MinEdges best;
       for (auto& w : workers) {
-        for (const auto& [root, edge] : w->min_edges()) {
-          bool found = false;
-          for (auto& [r, e] : best) {
-            if (r == root) {
-              if (lighter(edge, e)) e = edge;
-              found = true;
-              break;
-            }
-          }
-          if (!found) best.emplace_back(root, edge);
+        for (const auto& [root, edge] : w->min_edges().entries()) {
+          best.upsert(root, edge);
         }
         w->min_edges().clear();
       }
-      if (best.empty()) return false;  // forest complete
+      if (best.entries().empty()) return false;  // forest complete
       state.merges.clear();
-      for (auto& [root, edge] : best) state.merges.push_back(edge);
+      for (const auto& [root, edge] : best.entries()) {
+        state.merges.push_back(edge);
+      }
       state.scanning_phase = false;
       merges_before_round = state.edges_in_forest;
       merge_cursor.reset_direct();

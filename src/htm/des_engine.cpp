@@ -119,7 +119,8 @@ DesMachine::DesMachine(const model::MachineConfig& config, model::HtmKind kind,
     conflict_shift_ = 0;
     while ((1u << conflict_shift_) < gran) ++conflict_shift_;
   }
-  unit_stamps_.assign((heap.capacity_bytes() >> conflict_shift_) + 1, 0);
+  unit_stamps_ = mem::LazyZeroBuffer<std::uint64_t>(
+      (heap.capacity_bytes() >> conflict_shift_) + 1);
   domains_.resize(static_cast<std::size_t>(num_domains));
   threads_per_domain_ =
       static_cast<std::uint32_t>(num_threads / num_domains);

@@ -40,6 +40,7 @@
 #include "htm/abort.hpp"
 #include "htm/resilience.hpp"
 #include "mem/footprint.hpp"
+#include "mem/lazy_zero.hpp"
 #include "mem/sim_heap.hpp"
 #include "model/machines.hpp"
 #include "sim/event_queue.hpp"
@@ -498,10 +499,12 @@ class DesMachine {
   }
 
   /// Monotonic commit-order stamp over conflict units (heap offset >>
-  /// conflict_shift_, per the HTM variant's detection granularity).
+  /// conflict_shift_, per the HTM variant's detection granularity). One
+  /// stamp per unit of heap *capacity*, lazily zeroed: only the units a
+  /// run touches cost memory.
   std::uint64_t commit_stamp_ = 0;
   std::uint32_t conflict_shift_ = 6;
-  std::vector<std::uint64_t> unit_stamps_;
+  mem::LazyZeroBuffer<std::uint64_t> unit_stamps_;
   void bump_unit(std::uint64_t unit) {
     unit_stamps_[unit] = ++commit_stamp_;
   }

@@ -8,11 +8,9 @@ namespace aam::mem {
 
 SimHeap::SimHeap(std::size_t bytes) {
   capacity_ = (bytes + kLineBytes - 1) / kLineBytes * kLineBytes;
-  // Over-allocate one line so the base can be aligned to a line boundary.
-  storage_ = std::make_unique<std::byte[]>(capacity_ + kLineBytes);
-  const auto addr = reinterpret_cast<std::uintptr_t>(storage_.get());
-  const std::uintptr_t aligned = (addr + kLineBytes - 1) & ~(kLineBytes - 1);
-  base_ = reinterpret_cast<std::byte*>(aligned);
+  // Page-aligned, hence line-aligned.
+  storage_ = LazyZeroBuffer<std::byte>(capacity_);
+  base_ = storage_.data();
 }
 
 std::byte* SimHeap::raw_alloc(std::size_t bytes, std::size_t align,

@@ -11,18 +11,19 @@
 // The heap is a bump allocator over one contiguous cache-line-aligned
 // region; freeing is wholesale via reset(). That matches how the library
 // uses it: a benchmark allocates graph + algorithm state once, runs, and
-// throws the heap away.
+// throws the heap away. The region is a LazyZeroBuffer, so capacity the
+// run never allocates costs neither host memory nor a page clear.
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
 #include <vector>
 
+#include "mem/lazy_zero.hpp"
 #include "sim/time.hpp"
 #include "util/check.hpp"
 
@@ -129,7 +130,8 @@ class SimHeap {
   std::size_t used_bytes() const { return used_; }
   std::size_t num_lines() const { return capacity_ / kLineBytes; }
 
-  /// Releases all allocations (metadata in StripeTable is reset separately).
+  /// Releases all allocations. A DesMachine's per-line and per-unit tables
+  /// over this heap are not reset with it.
   void reset() {
     used_ = 0;
     allocs_.clear();
@@ -154,7 +156,7 @@ class SimHeap {
   std::byte* raw_alloc(std::size_t bytes, std::size_t align,
                        std::string_view label);
 
-  std::unique_ptr<std::byte[]> storage_;
+  LazyZeroBuffer<std::byte> storage_;
   std::byte* base_ = nullptr;
   std::size_t capacity_ = 0;
   std::size_t used_ = 0;
@@ -184,14 +186,15 @@ class WriteObserver {
 
 /// Per-line contention metadata for the whole heap (the atomics model).
 /// Conflict *stamps* live in the engine at the HTM variant's detection
-/// granularity; see DesMachine.
+/// granularity; see DesMachine. Both tables are lazily zeroed, and zero
+/// means "available at time 0, no owner".
 class StripeTable {
  public:
   inline static constexpr std::uint32_t kNoOwner =
       static_cast<std::uint32_t>(-1);
 
   explicit StripeTable(std::size_t num_lines)
-      : avail_(num_lines, 0.0), owner_(num_lines, kNoOwner) {}
+      : avail_(num_lines), owner_(num_lines) {}
 
   /// Time until which the line is held by an in-flight atomic; the next
   /// atomic on the line from *another* thread starts no earlier than this
@@ -200,32 +203,16 @@ class StripeTable {
   void set_available_at(LineId line, sim::Time t) { avail_[line] = t; }
 
   /// Thread currently holding the line in its cache (atomics contention
-  /// model); a thread re-accessing its own line pays no transfer.
-  std::uint32_t owner(LineId line) const { return owner_[line]; }
-  void set_owner(LineId line, std::uint32_t tid) { owner_[line] = tid; }
+  /// model); a thread re-accessing its own line pays no transfer. Stored
+  /// as tid+1, so an untouched (zero) slot reads as kNoOwner.
+  std::uint32_t owner(LineId line) const { return owner_[line] - 1; }
+  void set_owner(LineId line, std::uint32_t tid) { owner_[line] = tid + 1; }
 
   std::size_t num_lines() const { return avail_.size(); }
 
-  void reset() {
-    std::fill(avail_.begin(), avail_.end(), 0.0);
-    std::fill(owner_.begin(), owner_.end(), kNoOwner);
-  }
-
-  /// Checkpoint support: the per-line contention metadata, restored
-  /// wholesale so post-restore atomics see the same transfer costs.
-  const std::vector<sim::Time>& avail_lines() const { return avail_; }
-  const std::vector<std::uint32_t>& owner_lines() const { return owner_; }
-  void restore_lines(const std::vector<sim::Time>& avail,
-                     const std::vector<std::uint32_t>& owner) {
-    AAM_CHECK_MSG(avail.size() == avail_.size() && owner.size() == owner_.size(),
-                  "stripe snapshot size does not match table");
-    avail_ = avail;
-    owner_ = owner;
-  }
-
  private:
-  std::vector<sim::Time> avail_;
-  std::vector<std::uint32_t> owner_;
+  LazyZeroBuffer<sim::Time> avail_;
+  LazyZeroBuffer<std::uint32_t> owner_;
 };
 
 }  // namespace aam::mem

@@ -251,6 +251,12 @@ struct ThresholdCase {
   model::HtmKind kind;
 };
 
+// Without it gtest prints the struct's bytes, a pointer among them, into
+// the test's full name, which then changes from build to build.
+void PrintTo(const ThresholdCase& c, std::ostream* os) {
+  *os << c.config->name << "/" << model::to_string(c.kind);
+}
+
 class CapacityThresholdTest : public ::testing::TestWithParam<ThresholdCase> {
 };
 

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <vector>
 
+#include "htm/des_engine.hpp"
 #include "mem/footprint.hpp"
+#include "mem/lazy_zero.hpp"
 #include "mem/sim_heap.hpp"
+#include "model/machines.hpp"
+#include "util/blob.hpp"
 #include "util/rng.hpp"
 
 namespace aam::mem {
@@ -64,14 +69,100 @@ TEST(SimHeapDeathTest, AbortsWhenExhausted) {
 
 TEST(StripeTable, OwnersAndAvailability) {
   StripeTable table(16);
+  EXPECT_DOUBLE_EQ(table.available_at(7), 0.0);
   table.set_available_at(7, 90.0);
   EXPECT_DOUBLE_EQ(table.available_at(7), 90.0);
   EXPECT_EQ(table.owner(5), StripeTable::kNoOwner);
   table.set_owner(5, 2);
   EXPECT_EQ(table.owner(5), 2u);
-  table.reset();
-  EXPECT_DOUBLE_EQ(table.available_at(7), 0.0);
+  table.set_owner(5, 0);
+  EXPECT_EQ(table.owner(5), 0u);
+  table.set_owner(5, StripeTable::kNoOwner);
   EXPECT_EQ(table.owner(5), StripeTable::kNoOwner);
+  EXPECT_EQ(table.owner(4), StripeTable::kNoOwner);
+  EXPECT_DOUBLE_EQ(table.available_at(6), 0.0);
+}
+
+// ------------------------------------------------------- LazyZeroBuffer
+
+TEST(LazyZeroBuffer, ReadsAsZeroAndKeepsWrites) {
+  LazyZeroBuffer<std::uint64_t> buf(1 << 20);
+  ASSERT_EQ(buf.size(), std::size_t{1} << 20);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buf.data()) % 4096, 0u);
+  EXPECT_EQ(buf[0], 0u);
+  EXPECT_EQ(buf[(1 << 20) - 1], 0u);
+  buf[12345] = 7;
+  LazyZeroBuffer<std::uint64_t> moved(std::move(buf));
+  EXPECT_EQ(moved[12345], 7u);
+  EXPECT_EQ(moved[12346], 0u);
+  EXPECT_EQ(buf.size(), 0u);
+  EXPECT_EQ(buf.data(), nullptr);
+}
+
+TEST(LazyZeroBuffer, EmptyHoldsNoMapping) {
+  LazyZeroBuffer<double> buf(0);
+  EXPECT_EQ(buf.size(), 0u);
+  EXPECT_EQ(buf.data(), nullptr);
+}
+
+long minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
+// A machine sizes its heap, commit stamps and stripe table from the heap's
+// capacity; building one must cost pages for what it touches, not for the
+// capacity. Zero-filling a 256 MiB BG/Q heap eagerly takes over 140k page
+// faults (64k for the arena, 64k for the 8-byte-unit stamps, 12k for the
+// stripes); the bound allows a few MiB.
+TEST(LazyZeroBuffer, MachineBuildTouchesFewPages) {
+  constexpr std::size_t kBytes = std::size_t{256} << 20;
+  constexpr long kMaxFaults = 2048;  // 8 MiB of 4 KiB pages
+  const long before = minor_faults();
+  SimHeap heap(kBytes);
+  htm::DesMachine machine(model::bgq(), model::HtmKind::kBgqShort,
+                          model::bgq().max_threads(), heap, /*seed=*/1);
+  EXPECT_LT(minor_faults() - before, kMaxFaults);
+}
+
+TEST(LazyZeroBuffer, UntouchedMachineMemoryReadsAsZero) {
+  constexpr std::size_t kBytes = std::size_t{1} << 20;
+  SimHeap heap(kBytes);
+  htm::DesMachine machine(model::bgq(), model::HtmKind::kBgqShort, 4, heap);
+  // The machine allocated its elision lock; everything past it is fresh.
+  auto words = heap.alloc<std::uint64_t>(1024, "probe");
+  for (std::uint64_t w : words) EXPECT_EQ(w, 0u);
+  const std::byte* tail =
+      heap.addr_of(heap.used_bytes() - 1) + 1;  // first unallocated byte
+  const std::size_t rest = heap.capacity_bytes() - heap.used_bytes();
+  std::size_t nonzero = 0;
+  for (std::size_t i = 0; i < rest; ++i) nonzero += tail[i] != std::byte{0};
+  EXPECT_EQ(nonzero, 0u);
+  // The core checkpoint carries one commit stamp per conflict unit of the
+  // used heap.
+  util::BlobWriter w;
+  machine.save_core(w);
+  const auto blob = w.take();
+  util::BlobReader r(blob);
+  r.get<double>();  // now
+  r.get<double>();  // last progress
+  EXPECT_EQ(r.get<std::uint64_t>(), 0u);  // commit stamp
+  const auto units = r.get<std::uint64_t>();
+  EXPECT_EQ(units, (heap.used_bytes() >> machine.conflict_shift()) + 1);
+  std::size_t stamped = 0;
+  for (std::uint64_t u = 0; u < units; ++u) {
+    stamped += r.get<std::uint64_t>() != 0;
+  }
+  EXPECT_EQ(stamped, 0u);
+  auto& stripes = machine.stripes();
+  ASSERT_EQ(stripes.num_lines(), heap.num_lines());
+  std::size_t stripe_state = 0;
+  for (LineId l = 0; l < stripes.num_lines(); ++l) {
+    stripe_state += stripes.owner(l) != StripeTable::kNoOwner;
+    stripe_state += stripes.available_at(l) != 0.0;
+  }
+  EXPECT_EQ(stripe_state, 0u);
 }
 
 // ------------------------------------------------------------- EpochSet

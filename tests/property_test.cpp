@@ -311,6 +311,13 @@ struct StaticContainmentCase {
   core::Mechanism mechanism;
 };
 
+// Without it gtest prints the struct's bytes, a pointer among them, into
+// the test's full name, which then changes from build to build.
+void PrintTo(const StaticContainmentCase& c, std::ostream* os) {
+  *os << c.config->name << "/" << model::to_string(c.kind) << "/"
+      << c.threads << "/" << core::to_string(c.mechanism);
+}
+
 class StaticContainmentTest
     : public ::testing::TestWithParam<StaticContainmentCase> {};
 

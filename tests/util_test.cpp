@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
+#include "util/blob.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -245,6 +248,55 @@ TEST(Format, Count) {
   EXPECT_EQ(format_count(999), "999");
   EXPECT_EQ(format_count(1000), "1,000");
   EXPECT_EQ(format_count(1234567), "1,234,567");
+}
+
+// ----------------------------------------------------------------- Blob
+
+TEST(Blob, EmptyVectorRoundTrips) {
+  BlobWriter w;
+  w.put_vector(std::vector<double>{});
+  w.put<std::uint32_t>(7);
+  const auto bytes = w.take();
+  BlobReader r(bytes);
+  EXPECT_TRUE(r.get_vector<double>().empty());
+  EXPECT_EQ(r.get<std::uint32_t>(), 7u);
+  EXPECT_TRUE(r.exhausted());
+}
+
+TEST(Blob, VectorRoundTrips) {
+  BlobWriter w;
+  w.put_vector(std::vector<std::uint64_t>{1, 2, 3});
+  const auto bytes = w.take();
+  BlobReader r(bytes);
+  EXPECT_EQ(r.get_vector<std::uint64_t>(),
+            (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_TRUE(r.exhausted());
+}
+
+TEST(BlobDeathTest, HugeVectorLengthIsTruncation) {
+  // n * sizeof(T) wraps to 8 here; the length check must not be fooled.
+  BlobWriter w;
+  w.put<std::uint64_t>((std::numeric_limits<std::uint64_t>::max() >> 3) + 2);
+  w.put<std::uint64_t>(0);
+  const auto bytes = w.take();
+  EXPECT_DEATH(
+      {
+        BlobReader r(bytes);
+        r.get_vector<std::uint64_t>();
+      },
+      "truncated snapshot blob");
+}
+
+TEST(BlobDeathTest, HugeStringLengthIsTruncation) {
+  BlobWriter w;
+  w.put<std::uint64_t>(std::numeric_limits<std::uint64_t>::max());
+  const auto bytes = w.take();
+  EXPECT_DEATH(
+      {
+        BlobReader r(bytes);
+        r.get_string();
+      },
+      "truncated snapshot blob");
 }
 
 }  // namespace
